@@ -33,15 +33,19 @@ class Processor:
         model, so it must be the owning process's current CPU clock.
 
         With ``memsys.fast_path`` (the default) the whole batch is
-        handed to :meth:`MemorySystem.access_batch` — the hierarchy-wide
-        batched engine.  Short batches run its flattened scalar loop;
-        long ones enter the columnar NumPy kernel, which classifies
-        eviction-free prefixes against the batch's column arrays
-        (:meth:`RefBatch.columns` — zero-copy when the batch was built
-        columnar, as the synthetic generator and trace loader do) and
-        retires them in bulk array operations.  The slow per-reference
-        loop below is kept as the reference implementation and produces
-        bitwise identical counters and timing on every path.
+        handed to :meth:`MemorySystem.access_batch`, the hierarchy-wide
+        batched engine: short batches run its flattened scalar loop,
+        which keeps every coherent miss of the paper machines inline,
+        interventions included; long ones enter the columnar NumPy
+        kernel.  The slow per-reference loop below is kept as the
+        reference implementation and produces bitwise identical
+        counters and timing on every path.
+
+        The scheduler calls the memory system directly for reference
+        batches on the fast path and does this method's bookkeeping
+        itself, so a batch crosses one call on its way to the engine;
+        this method serves the lock references, the ``fast_path=False``
+        loop and the trace replayer.
         """
         base_cpi = self.machine.base_cpi
         memsys = self.memsys

@@ -12,16 +12,17 @@ maintains all counters the paper's figures need:
   PA-8200's open-request counter (Fig. 9),
 * upgrade and intervention counts.
 
-Batched execution (:meth:`MemorySystem.access_batch`) dispatches
-between two engines, both bitwise-equivalent to the per-reference
-slow path:
+Batched execution (:meth:`MemorySystem.access_batch`, called once per
+batch by the scheduler) runs one of two engines, both
+bitwise-equivalent to the per-reference slow path:
 
-* a **flattened scalar engine** that, besides resolving private hits
-  inline, executes the *common-case* directory transactions (unowned
-  and shared fetches with no intervention and no sharer invalidation)
-  against the directory dict, bank-queue dicts and cache sets directly
-  — only interventions, sharer invalidations and upgrades fall back to
-  the full :meth:`_coherent_miss` / :meth:`_do_upgrade` helpers;
+* a **flattened scalar engine** (the body of ``access_batch`` itself)
+  that, besides resolving private hits inline, executes every directory
+  transaction an L1 miss issues on the paper machines — memory
+  fetches, writes to shared lines, interventions and migratory
+  hand-offs — against the directory dict, bank-queue dicts and cache
+  sets directly; only S-write ownership upgrades go through the
+  :meth:`_do_upgrade` helper;
 * a **columnar NumPy kernel** for long batches that classifies the
   eviction-free prefix of the reference stream in one vectorized
   pre-pass and bulk-applies it, leaving a scalar residue loop for only
@@ -198,8 +199,8 @@ class MemorySystem:
         #: segment's range and home never change once allocated.
         self._home_span: Tuple[int, int, int] = (1, 0, 0)
         # Inline-lane constants (the flattened scalar engine executes
-        # common-case directory transactions without entering the
-        # engine/interconnect methods; see `_access_batch_scalar`).
+        # directory transactions without entering the engine or
+        # interconnect methods; see `access_batch`).
         ic = self.interconnect
         lat = machine.latency
         self._mem_base = lat.mem_base
@@ -210,6 +211,30 @@ class MemorySystem:
         self._bank_load = ic._load
         self._bank_spill = ic._spill
         self._dir_entries = self.engine.directory._entries
+        #: Cache-to-cache constants of the intervention lanes: the
+        #: owner leg's fixed part (``intervention_cost`` is the round
+        #: trip plus a constant) and the per-sharer invalidation charge.
+        self._ivn_extra = lat.intervention_cost(0)
+        self._inval_per_sharer = lat.inval_per_sharer
+        self._migratory = machine.migratory_enabled
+        #: Network distance from each CPU to each home node (``None`` on
+        #: the crossbar, where every distance is 0).
+        self._dist_rows: Optional[List[List[int]]] = None
+        if not self._uma:
+            self._dist_rows = [
+                [
+                    lat.hop_cost * self.topology.hops(self.topology.node_of_cpu(c), hm)
+                    for hm in range(self.topology.n_nodes)
+                ]
+                for c in range(machine.n_cpus)
+            ]
+        #: Every CPU's L1 and coherent-level set lists (the latter
+        #: ``None`` on one-level machines), for the lanes that reach into
+        #: another CPU's caches to invalidate or downgrade a line.
+        self._cache_sets = [
+            (h.l1.hot_view()[0], h.coherent.hot_view()[0] if h.has_l2 else None)
+            for h in self.hierarchies
+        ]
         #: Per-CPU hoisted state for the batched engines: one tuple
         #: unpack replaces ~20 attribute lookups and method binds per
         #: batch (batches average tens of references, so the prologue
@@ -239,11 +264,7 @@ class MemorySystem:
                 dist_row: Optional[List[int]] = None
             else:
                 bank_mod = None
-                node = self.topology.node_of_cpu(cpu)
-                dist_row = [
-                    lat.hop_cost * self.topology.hops(node, hm)
-                    for hm in range(self.topology.n_nodes)
-                ]
+                dist_row = self._dist_rows[cpu]
             self._batch_ctx.append((
                 self.stats[cpu],
                 h,
@@ -259,7 +280,6 @@ class MemorySystem:
                 l2_assoc,
                 machine.coherence_line_size >> l1_shift,
                 h.set_state,
-                self._coherent_miss,
                 self._do_upgrade,
                 self.engine.note_silent_upgrade,
                 self._ever_cached[cpu],
@@ -433,31 +453,7 @@ class MemorySystem:
             self._txlog.append(addr)
         return stall
 
-    def access_batch(self, cpu: int, batch, now: int, base_cpi: float) -> float:
-        """Run a whole :class:`~repro.trace.stream.RefBatch`; return the
-        float cycles it consumed (the caller truncates once per batch).
-
-        Dispatches on batch length: long batches go through the
-        columnar NumPy kernel (:meth:`_access_batch_vector`), short
-        ones through the flattened scalar engine
-        (:meth:`_access_batch_scalar`).  Both mirror the per-reference
-        slow path operation-for-operation (same float additions in the
-        same order, same dictionary operations on every cache set and
-        directory entry), so counters, timing, and final cache state
-        are bitwise identical across all three; ``SimConfig.
-        fast_path=False`` forces the slow loop and the equivalence
-        suites compare the paths counter-for-counter.
-
-        When transition sinks are attached this method is shadowed
-        by :meth:`_access_batch_observed`, which routes every L1 miss
-        through :meth:`_miss` so the sinks see the exact per-
-        reference hook sequence of the slow path.
-        """
-        if len(batch) >= self.VECTOR_MIN_REFS:
-            return self._access_batch_vector(cpu, batch, now, base_cpi)
-        return self._access_batch_scalar(cpu, batch, now, base_cpi)
-
-    def _access_batch_scalar(
+    def access_batch(
         self,
         cpu: int,
         batch,
@@ -467,7 +463,21 @@ class MemorySystem:
         t0: Optional[float] = None,
         cycles0: float = 0.0,
     ) -> float:
-        """The flattened scalar engine.
+        """Run a whole :class:`~repro.trace.stream.RefBatch`; return the
+        float cycles it consumed (the caller truncates once per batch).
+
+        This is the batched entry point the scheduler calls once per
+        batch, and its body is the **flattened scalar engine**, so a
+        short batch crosses a single Python call from the scheduler to
+        the reference loop.  Long batches (``VECTOR_MIN_REFS`` or more)
+        are handed to the columnar NumPy kernel
+        (:meth:`_access_batch_vector`) instead.  Both engines mirror
+        the per-reference slow path operation-for-operation (same float
+        additions in the same order, same dictionary operations on
+        every cache set and directory entry), so counters, timing, and
+        final cache state are bitwise identical across all three;
+        ``SimConfig.fast_path=False`` forces the slow loop and the
+        equivalence suites compare the paths counter-for-counter.
 
         Everything that generates no directory transaction is resolved
         inline against the cache set structures (via
@@ -482,23 +492,43 @@ class MemorySystem:
         * clean L2 hits, including the L1 refill and the constant
           exposed L2 stall.
 
-        Coherent misses take an inline lane too, provided the
-        transaction is *simple*: the line is not exclusive in another
-        cache, and a write finds no other sharer.  Those transactions
-        (the vast majority — streaming scans fetch unowned lines) are
+        On the 1- and 2-level crossbar and hypercube machines every
+        coherent miss takes an inline lane as well.  The lanes are
         transcriptions of :meth:`CoherenceEngine.read_miss` /
-        :meth:`~CoherenceEngine.write_miss`'s no-intervention branches,
-        :meth:`Interconnect._enter_bank`'s epoch queueing,
-        :meth:`_classify_miss` and the fill/evict path, executed
-        against the directory dict, bank dicts and set dicts directly.
-        Interventions, sharer invalidations and S-write upgrades leave
-        the loop through the same :meth:`_do_upgrade` /
-        :meth:`_coherent_miss` helpers :meth:`access` uses, preserving
-        the exact transition semantics by construction.
+        :meth:`~CoherenceEngine.write_miss`,
+        :meth:`Interconnect.memory_fetch` /
+        :meth:`~Interconnect.intervention` and their
+        :meth:`~Interconnect._enter_bank` epoch queueing,
+        :meth:`_classify_miss` and the fill/evict path, executed against
+        the directory dict, bank dicts and set dicts directly, with the
+        same order of bank entries, directory updates and cache-set
+        operations:
+
+        * unowned and shared fetches served by memory,
+        * a write to a line other CPUs share (their copies are
+          invalidated, ``inval_per_sharer`` charged per sharer),
+        * write interventions (the owner's copy is invalidated, with
+          migratory detection),
+        * read interventions (the owner downgrades to S, writing back
+          a dirty line) and migratory read hand-offs (the owner's copy
+          is invalidated and the requester gets E).
+
+        Only S-write ownership upgrades leave the loop, through the
+        same :meth:`_do_upgrade` helper :meth:`access` uses.  Machines
+        outside the lanes' envelope (3 cache levels, prefetcher, islands
+        interconnect) take the general :meth:`_miss` helper on every L1
+        miss.
+
+        When transition sinks are attached this method is shadowed
+        by :meth:`_access_batch_observed`, which routes every L1 miss
+        through :meth:`_miss` so the sinks see the exact per-
+        reference hook sequence of the slow path.
 
         ``start``/``t0``/``cycles0`` let the vectorized kernel hand
         over mid-batch with the float accumulator chain intact.
         """
+        if t0 is None and len(batch) >= self.VECTOR_MIN_REFS:
+            return self._access_batch_vector(cpu, batch, now, base_cpi)
         (
             st,
             h,
@@ -514,7 +544,6 @@ class MemorySystem:
             l2_assoc,
             l1_per_coh,
             set_state,
-            coherent_miss,
             do_upgrade,
             note_silent,
             ever_cached,
@@ -534,6 +563,7 @@ class MemorySystem:
         shared = SHARED
         coh_mask = self._coh_mask
         cpu_bit = 1 << cpu
+        uma = self._uma
         mem_base = self._mem_base
         service = self._bank_service
         epoch_shift = self._epoch_shift
@@ -695,9 +725,7 @@ class MemorySystem:
                     cycles += cost
                     t += cost
                     continue
-            # Coherent miss.  The inline lane transcribes the
-            # no-intervention branches of the protocol; anything that
-            # must touch another CPU's cache falls back to the helper.
+            # Coherent miss: the directory transaction, inline.
             lbase = addr & coh_mask
             e = entries.get(lbase)
             if e is None:
@@ -708,15 +736,8 @@ class MemorySystem:
             else:
                 owner = e.excl_owner
                 sharers = e.sharers
-            if (owner != -1 and owner != cpu) or (
-                is_write and sharers & ~cpu_bit
-            ):
-                cost += coherent_miss(cpu, addr, is_write, cls, int(t + cost), st, h)
-                cycles += cost
-                t += cost
-                continue
             # home node (span cache, same as _home())
-            if self._uma:
+            if uma:
                 home = 0
                 dist = 0
                 bank = (lbase >> 6) % bank_mod
@@ -726,7 +747,8 @@ class MemorySystem:
                     home = self._home(addr)
                 dist = dist_row[home]
                 bank = home
-            # memory_fetch: epoch-queued bank entry (_enter_bank)
+            # The request's epoch-queued bank entry (_enter_bank): a
+            # memory fetch and an intervention both visit the home bank.
             now_i = int(t + cost)
             epoch = now_i >> epoch_shift
             key = (bank, epoch)
@@ -749,9 +771,74 @@ class MemorySystem:
                 ic_queued += 1
                 ic_qdelay += delay
             lat = mem_base + dist + delay
-            # directory transition + fill state (no-intervention cases)
-            if is_write:
-                # no other holder: plain ownership fetch
+            # CPUs whose copy of the line this transaction invalidates
+            kill = 0
+            if owner != -1 and owner != cpu:
+                # Intervention: the line is exclusive in another cache,
+                # which supplies it (Interconnect.intervention adds the
+                # owner leg to the round trip).
+                engine.n_interventions += 1
+                lat += self._ivn_extra
+                if not uma:
+                    lat += self._dist_rows[owner][home]
+                migratory = self._migratory
+                if is_write:
+                    kill = 1 << owner
+                    # Cox–Fowler detection (_detect_migratory): the
+                    # write steals the line from its previous writer.
+                    if migratory and not e.migratory and e.last_writer == owner:
+                        e.migratory = True
+                        engine.n_migratory_detected += 1
+                    e.excl_owner = cpu
+                    e.sharers = 0
+                    e.last_writer = cpu
+                    e.written_since_transfer = True
+                    fill_state = modified
+                elif migratory and e.migratory and e.written_since_transfer:
+                    # migratory hand-off: the owner's copy dies and the
+                    # requester gets the line exclusive
+                    kill = 1 << owner
+                    engine.n_migratory_transfers += 1
+                    e.excl_owner = cpu
+                    e.sharers = 0
+                    e.written_since_transfer = False
+                    fill_state = exclusive
+                else:
+                    if migratory and e.migratory:
+                        # the pattern stopped being read-modify-write
+                        e.migratory = False
+                    # Downgrade the owner to S (the directory guarantees
+                    # it holds the line), writing back a dirty copy.
+                    o_l1, o_coh = self._cache_sets[owner]
+                    if has_l2:
+                        o_set = o_coh[l2_line & l2_mask]
+                        if o_set[l2_line] == modified:
+                            engine.n_writebacks += 1
+                            ic.post_writeback(lbase, home, now_i)
+                        o_set[l2_line] = shared
+                        # restate the owner's resident L1 sub-lines
+                        vl = lbase >> l1_shift
+                        for k in range(l1_per_coh):
+                            o_set = o_l1[(vl + k) & l1_mask]
+                            if vl + k in o_set:
+                                o_set[vl + k] = shared
+                    else:
+                        o_set = o_l1[line & l1_mask]
+                        if o_set[line] == modified:
+                            engine.n_writebacks += 1
+                            ic.post_writeback(lbase, home, now_i)
+                        o_set[line] = shared
+                    engine.n_downgrades += 1
+                    e.excl_owner = -1
+                    e.sharers = (1 << owner) | cpu_bit
+                    e.written_since_transfer = False
+                    fill_state = shared
+                comm = True
+            elif is_write:
+                kill = sharers & ~cpu_bit
+                if kill:
+                    # a write to a line other CPUs share
+                    lat += self._inval_per_sharer * bin(kill).count("1")
                 e.excl_owner = cpu
                 e.sharers = 0
                 e.last_writer = cpu
@@ -769,6 +856,28 @@ class MemorySystem:
                     e.sharers = sharers | cpu_bit
                     fill_state = shared
                 comm = lbase in lost_inval
+            if kill:
+                # Invalidate every other copy (CacheHierarchy.invalidate,
+                # coherent level then the covered inner lines), in
+                # ascending CPU order, and remember the losers for
+                # their own miss classification.
+                n_kill = 0
+                lost_of = self._lost_to_inval
+                while kill:
+                    low = kill & -kill
+                    kill ^= low
+                    q = low.bit_length() - 1
+                    o_l1, o_coh = self._cache_sets[q]
+                    if has_l2:
+                        o_coh[l2_line & l2_mask].pop(l2_line, None)
+                        vl = lbase >> l1_shift
+                        for k in range(l1_per_coh):
+                            o_l1[(vl + k) & l1_mask].pop(vl + k, None)
+                    else:
+                        o_l1[line & l1_mask].pop(line, None)
+                    lost_of[q].add(lbase)
+                    n_kill += 1
+                engine.n_invalidations += n_kill
             # cold / capacity / comm classification (_classify_miss)
             if comm:
                 mk = 2
@@ -873,6 +982,11 @@ class MemorySystem:
             del txlog[:]
         return cycles
 
+    #: The scalar engine under its own name: the vector kernel hands its
+    #: residue here (``t0`` set, so the length dispatch above is skipped)
+    #: without going through any per-instance shadow of ``access_batch``.
+    _access_batch_scalar = access_batch
+
     def _access_batch_vector(
         self, cpu: int, batch, now: int, base_cpi: float
     ) -> float:
@@ -930,7 +1044,6 @@ class MemorySystem:
             l2_assoc,
             l1_per_coh,
             set_state,
-            coherent_miss,
             do_upgrade,
             note_silent,
             ever_cached,

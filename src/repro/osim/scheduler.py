@@ -55,6 +55,7 @@ class Kernel:
         self.machine = machine
         self.memsys = memsys
         self.sim = sim
+        self._base_cpi = machine.base_cpi
         self.processes: List[SimProcess] = []
         self._queues: List[Deque[SimProcess]] = [
             deque() for _ in range(machine.n_cpus)
@@ -235,7 +236,20 @@ class Kernel:
                 return None
 
         if isinstance(ev, RefBatch):
-            cycles = proc.processor.run_batch(ev, proc.clock)
+            processor = proc.processor
+            memsys = self.memsys
+            if memsys.fast_path:
+                # One call from here to the memory system's batch
+                # engine; the bookkeeping is Processor.run_batch's.
+                # ``access_batch`` is looked up on the instance, so an
+                # attached sink's observing shadow still applies.
+                cycles = int(
+                    memsys.access_batch(proc.cpu, ev, proc.clock, self._base_cpi)
+                )
+                processor.instrs_retired += ev.total_instrs
+                processor.cycles_executed += cycles
+            else:
+                cycles = processor.run_batch(ev, proc.clock)
             proc.advance(cycles)
         elif isinstance(ev, SpinAcquire):
             self._handle_acquire(proc, ev)

@@ -17,9 +17,9 @@ legs of the simulator:
 
 All legs must produce identical *fingerprints* — every counter of every
 CPU, the final resident set of every cache level, the full directory
-image, the engine's global counters and the interconnect's request
-count.  Any divergence is a bug in one of the paths (or in the checker
-hooks, which must be observation-only); any
+image, the engine's global counters and the interconnect's request,
+queueing and writeback counters.  Any divergence is a bug in one of
+the paths (or in the checker hooks, which must be observation-only); any
 :class:`~repro.verify.invariants.InvariantViolation` is a protocol bug.
 On failure the trace is shrunk with a greedy delta-debugging pass
 before being reported, so the reproducer in the report is small.
@@ -155,6 +155,7 @@ def fingerprint(
 ) -> Dict:
     """Everything observable about a finished run, as comparable data."""
     engine = memsys.engine
+    ic = memsys.interconnect
     return {
         "clocks": list(clocks),
         "stats": [memsys.stats[cpu].to_dict() for cpu in range(n_active)],
@@ -185,7 +186,12 @@ def fingerprint(
             "writebacks": engine.n_writebacks,
             "downgrades": engine.n_downgrades,
         },
-        "interconnect": memsys.interconnect.n_requests,
+        "interconnect": {
+            "requests": ic.n_requests,
+            "queued": ic.n_queued,
+            "total_queue_delay": ic.total_queue_delay,
+            "writebacks": ic.n_writebacks,
+        },
     }
 
 

@@ -7,6 +7,8 @@ mixes built specifically to hammer those branches (the ``w_l2_reuse``
 and ``w_upgrade`` knobs of :class:`SyntheticSpec`) through the fast
 and slow paths and requires bitwise-identical fingerprints: every
 counter, both cache levels' contents, the directory, and the clocks.
+Handcrafted sharing patterns do the same for the inline directory
+lanes (interventions, migratory hand-offs, writes to shared lines).
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import TEST_SIM
+from repro.core.workload import make_query_process
 from repro.mem.machine import platform
 from repro.mem.memsys import MemorySystem
+from repro.osim.scheduler import Kernel
 from repro.trace.address import AddressSpace
 from repro.trace.classify import DataClass
 from repro.trace.stream import RefBatch
 from repro.trace.synthetic import SyntheticSpec, build_address_space, generate
+from repro.tpch.queries import QUERIES
 from repro.verify.fuzz import FUZZ_SCALE_LOG2, drive_trace, fingerprint
 
 #: Pool of 40 coherence lines: overflows the scaled L1 (2 lines) while
@@ -269,3 +275,145 @@ class TestAdversarialBatches:
             ms.access_batch(0, _batch(lines), 0, machine.base_cpi)  # warm
             cycles[mode] = ms.access_batch(0, batch, 1000, machine.base_cpi)
         assert cycles["scalar"] == cycles["vector"]
+
+
+def _writes(lines):
+    return _batch(lines, [True] * len(lines))
+
+
+def _reads(lines):
+    return _batch(lines)
+
+
+def _read_then_write(lines):
+    return _batch(lines + lines, [False] * len(lines) + [True] * len(lines))
+
+
+class TestInterventionLanes:
+    """Cache-to-cache transfers through the scalar engine's inline
+    lanes.  Each mix is built so that one directory transaction kind
+    dominates: ``drive_trace`` round-robins the CPUs batch by batch, so
+    CPU ``c``'s ``i``-th batch runs after every lower CPU's ``i``-th
+    batch.  Pools are small enough that nothing is evicted, which makes
+    the protocol counts exact.  All three engines must agree bitwise;
+    the counter asserts pin that the lane under test really ran."""
+
+    N = 4  # pool lines
+
+    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    def test_write_intervention(self, plat):
+        # CPU0 and CPU3 take turns writing the pool: every write after
+        # the first finds the line modified in the other cache.  On the
+        # V-Class the first steal from the previous writer marks each
+        # line migratory.  On the Origin the two CPUs sit on different
+        # nodes, so the owner's leg to the home node costs hops.
+        aspace, lines = _pool(self.N)
+        trace = [[_writes(lines)] * 3, [], [], [_writes(lines)] * 3]
+        ms = _run_engines(plat, aspace, trace, 4)
+        eng = ms.engine
+        assert eng.n_interventions == 5 * self.N
+        assert eng.n_invalidations == 5 * self.N
+        assert eng.n_migratory_detected == (self.N if plat == "hpv" else 0)
+        assert ms.stats[3].miss_kind[2] == 3 * self.N  # comm misses
+
+    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    def test_read_intervention_of_modified_owner(self, plat):
+        # CPU1 reads lines CPU0 holds modified: the owner downgrades to
+        # S and writes the dirty line back.
+        aspace, lines = _pool(self.N)
+        trace = [[_writes(lines)], [_reads(lines)]]
+        ms = _run_engines(plat, aspace, trace, 2)
+        eng = ms.engine
+        assert eng.n_interventions == self.N
+        assert eng.n_downgrades == self.N
+        assert eng.n_writebacks == self.N
+        assert ms.interconnect.n_writebacks == self.N
+        for line in lines:
+            e = eng.directory.peek(line & ms._coh_mask)
+            assert e.excl_owner == -1 and e.sharers == 0b11
+
+    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    def test_read_intervention_of_exclusive_owner(self, plat):
+        # Same, but the owner never wrote: a clean downgrade.
+        aspace, lines = _pool(self.N)
+        trace = [[_reads(lines)], [_reads(lines)]]
+        ms = _run_engines(plat, aspace, trace, 2)
+        eng = ms.engine
+        assert eng.n_interventions == self.N
+        assert eng.n_downgrades == self.N
+        assert eng.n_writebacks == 0
+
+    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    def test_migratory_read_hand_off(self, plat):
+        # Read-modify-write passed back and forth.  On the V-Class the
+        # second writer marks the lines migratory, every later read
+        # takes the line exclusive from the owner, and the final
+        # read-only round demotes the pattern (a clean downgrade).  The
+        # Origin has no migratory optimization: its reads downgrade a
+        # dirty owner and its writes upgrade.
+        aspace, lines = _pool(self.N)
+        cpu_trace = [_writes(lines)] + [_read_then_write(lines)] * 2 + [
+            _reads(lines)
+        ]
+        ms = _run_engines(plat, aspace, [cpu_trace, cpu_trace], 2)
+        eng = ms.engine
+        if plat == "hpv":
+            assert eng.n_migratory_detected == self.N
+            assert eng.n_migratory_transfers == 5 * self.N
+            assert eng.n_downgrades == self.N
+            assert eng.n_writebacks == 0
+            for line in lines:
+                assert not eng.directory.peek(line & ms._coh_mask).migratory
+        else:
+            assert eng.n_migratory_transfers == 0
+            assert eng.n_downgrades == 5 * self.N
+            assert eng.n_writebacks == 5 * self.N
+            assert sum(st.upgrades for st in ms.stats) == 4 * self.N
+
+    @pytest.mark.parametrize("plat", ["hpv", "sgi"])
+    def test_write_to_line_shared_by_others(self, plat):
+        # CPUs 0-2 read the pool into SHARED (CPU1's read downgrades
+        # CPU0's exclusive copy); CPU3 then writes it, invalidating all
+        # three sharers and paying ``inval_per_sharer`` for each.
+        aspace, lines = _pool(self.N)
+        trace = [[_reads(lines)]] * 3 + [[_writes(lines)]]
+        ms = _run_engines(plat, aspace, trace, 4)
+        eng = ms.engine
+        assert eng.n_interventions == self.N
+        assert eng.n_invalidations == 3 * self.N
+        for line in lines:
+            e = eng.directory.peek(line & ms._coh_mask)
+            assert e.excl_owner == 3 and e.sharers == 0
+        for q in range(3):
+            assert ms._lost_to_inval[q] == {l & ms._coh_mask for l in lines}
+        # raw latency of CPU3's misses carries the invalidation charge
+        machine = ms.machine
+        inval = machine.latency.inval_per_sharer
+        assert inval > 0
+        assert ms.stats[3].raw_latency_cycles >= self.N * (
+            machine.latency.mem_base + 3 * inval
+        )
+
+
+@pytest.mark.parametrize("plat", ["hpv", "sgi"])
+def test_q21_cell_never_leaves_the_scalar_engine(plat, tiny_db):
+    """A 4-process Q21 cell's cache-to-cache traffic stays inline: the
+    scalar engine makes no call to the general ``_coherent_miss``
+    helper, while the cell does produce interventions."""
+    machine = platform(plat).scaled(TEST_SIM.cache_scale_log2)
+    ms = MemorySystem(machine, tiny_db.aspace)
+    ms.VECTOR_MIN_REFS = 1 << 60  # every batch on the scalar engine
+    calls = []
+    helper = ms._coherent_miss
+    ms._coherent_miss = lambda *a: calls.append(a) or helper(*a)
+    kernel = Kernel(machine, ms, TEST_SIM)
+    tiny_db.reset_runtime()
+    qdef = QUERIES["Q21"]
+    params = qdef.params()
+    for pid in range(4):
+        gen, _ = make_query_process(tiny_db, qdef, params, pid, cpu=pid)
+        kernel.spawn(gen, cpu=pid)
+    kernel.run()
+    assert ms.engine.n_interventions > 0
+    assert sum(st.coherent_misses for st in ms.stats) > 0
+    assert calls == []

@@ -4,9 +4,10 @@
 construction those hits generate no protocol traffic and no stall, so
 with ``fast_path`` on or off every simulated quantity must be
 *identical* — not approximately, bitwise.  This suite sweeps the
-paper's three queries across both platforms and compares every
-:class:`CpuMemStats` counter (including the per-class and per-kind
-breakdowns), the derived per-process snapshots, and the wall clock.
+paper's three queries across both platforms and compares the full
+:func:`repro.verify.fuzz.fingerprint` (every :class:`CpuMemStats`
+counter, cache contents, directory, engine and interconnect counters,
+clocks), the derived per-process snapshots, and the wall clock.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from repro.config import TEST_SIM
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.workload import make_query_process
 from repro.mem.machine import platform
-from repro.mem.memsys import CpuMemStats, MemorySystem
+from repro.mem.memsys import MemorySystem
 from repro.osim.scheduler import Kernel
 from repro.tpch.queries import QUERIES
+from repro.verify.fuzz import fingerprint
 
 
 def run_memsys(db, plat: str, query: str, n_procs: int, fast_path: bool):
     """Run one cell keeping the MemorySystem (run_experiment discards
-    it), so the raw CpuMemStats can be compared field by field."""
+    it), so its full end state can be compared."""
     machine = platform(plat).scaled(TEST_SIM.cache_scale_log2)
     memsys = MemorySystem(machine, db.aspace, fast_path=fast_path)
     kernel = Kernel(machine, memsys, TEST_SIM)
@@ -40,30 +42,28 @@ def run_memsys(db, plat: str, query: str, n_procs: int, fast_path: bool):
     return memsys, kernel
 
 
-def stats_as_dict(st: CpuMemStats) -> dict:
-    return {name: getattr(st, name) for name in CpuMemStats.__slots__}
-
-
 @pytest.mark.parametrize("query", ["Q6", "Q21", "Q12"])
 @pytest.mark.parametrize("plat", ["hpv", "sgi"])
 def test_every_counter_identical(query, plat, tiny_db):
+    """The whole observable end state: every per-CPU counter, every
+    cache level's contents, the directory image, the engine's and the
+    interconnect's counters, the process clocks and the processors'
+    retired-instruction and cycle counts."""
     n_procs = 2
     fast_ms, fast_k = run_memsys(tiny_db, plat, query, n_procs, fast_path=True)
     slow_ms, slow_k = run_memsys(tiny_db, plat, query, n_procs, fast_path=False)
-    for cpu in range(n_procs):
-        assert stats_as_dict(fast_ms.stats[cpu]) == stats_as_dict(
-            slow_ms.stats[cpu]
-        ), f"{query}/{plat} cpu{cpu}: CpuMemStats diverge"
+    fast = fingerprint(fast_ms, [p.clock for p in fast_k.processes], n_procs)
+    slow = fingerprint(slow_ms, [p.clock for p in slow_k.processes], n_procs)
+    for key in slow:
+        assert fast[key] == slow[key], f"{query}/{plat}: {key!r} diverges"
     assert fast_k.wall_cycles() == slow_k.wall_cycles()
-    assert (
-        fast_ms.interconnect.mean_queue_delay
-        == slow_ms.interconnect.mean_queue_delay
-    )
-    # identical end cache state, not just identical counters
-    for cpu in range(n_procs):
-        fast_lines = sorted(fast_ms.hierarchies[cpu].coherent.resident())
-        slow_lines = sorted(slow_ms.hierarchies[cpu].coherent.resident())
-        assert fast_lines == slow_lines
+    assert [
+        (p.processor.instrs_retired, p.processor.cycles_executed)
+        for p in fast_k.processes
+    ] == [
+        (p.processor.instrs_retired, p.processor.cycles_executed)
+        for p in slow_k.processes
+    ]
 
 
 @pytest.mark.parametrize("query", ["Q6", "Q21"])

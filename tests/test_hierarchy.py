@@ -62,11 +62,10 @@ class TestFill:
         assert h.l1.peek(0x100) == SHARED
         assert h.coherent.peek(0x100) == SHARED
 
-    def test_fill_l1_only_touched_line(self):
+    def test_fill_installs_only_touched_l1_line(self):
         h = two_level()
         h.fill(0x100, SHARED)
         # Other L1 lines in the same 128B coherence line are not filled.
-        assert h.l1.peek(0x180 & ~0x7F) == INVALID or True  # address math guard
         assert h.l1.peek(0x100 ^ 0x20) == INVALID
 
     def test_coherent_eviction_reported_and_swept(self):
@@ -78,13 +77,6 @@ class TestFill:
         victim = h.fill(2 * stride, SHARED)  # evicts line 0 (LRU)
         assert victim == (0, MODIFIED)
         assert h.l1.peek(0x0) == INVALID  # inclusion sweep
-
-    def test_fill_l1_after_l2_hit(self):
-        h = two_level()
-        h.fill(0x100, EXCLUSIVE)
-        h.l1.invalidate(0x100)
-        h.fill_l1(0x100, EXCLUSIVE)
-        assert h.l1.peek(0x100) == EXCLUSIVE
 
 
 class TestStateAndInvalidate:
